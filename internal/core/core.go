@@ -54,11 +54,11 @@ type Params struct {
 	// the per-unit distributions merge deterministically in unit order, so
 	// the result is bit-identical to serial execution).
 	//
-	// 0 auto-tunes: queries whose estimated DP work (scan depth × K) is
-	// large enough fan out over min(GOMAXPROCS, units) workers, small
+	// 0 auto-tunes: queries whose estimated DP work (scan depth × K) reaches
+	// autoParallelWork fan out over min(GOMAXPROCS, units) workers, smaller
 	// queries run serially (worker hand-off would cost more than it saves).
 	// 1 or negative forces serial execution; values ≥ 2 set the worker
-	// count explicitly.
+	// count explicitly. The calling goroutine is always one of the workers.
 	Parallelism int
 }
 
@@ -98,7 +98,9 @@ type Result struct {
 	// plus non-lead tuples) performed by the main algorithm.
 	Units int
 	// Cells counts DP cell computations (main algorithm), expanded states
-	// (StateExpansion), or enumerated combinations (KCombo).
+	// (StateExpansion), or enumerated combinations (KCombo). The main
+	// algorithm skips and does not count dead cells: columns that can no
+	// longer reach column K (see runUnitDP).
 	Cells int
 }
 

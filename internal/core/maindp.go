@@ -68,16 +68,8 @@ func DistributionScratch(p *uncertain.Prepared, params Params, s *Scratch) (*Res
 	res := &Result{ScanDepth: n}
 	units := p.UnitsPrefix(n)
 	res.Units = len(units)
-	var perUnit []*pmf.Dist
-	if workers := dpWorkers(params, len(units), n); workers > 1 {
-		perUnit = runUnitsParallel(p, units, params, workers, &res.Cells)
-	} else {
-		s.grid.Arena = &s.arena
-		perUnit = make([]*pmf.Dist, len(units))
-		for i, u := range units {
-			perUnit[i] = runUnitDP(buildUnitRows(p, u), params, s, &res.Cells)
-		}
-	}
+	s.grid.Arena = &s.arena
+	perUnit, helpers := runUnits(p, units, params, dpWorkers(params, len(units), n), s, &res.Cells)
 	dists := perUnit[:0]
 	for _, d := range perUnit {
 		if !d.IsEmpty() {
@@ -97,20 +89,28 @@ func DistributionScratch(p *uncertain.Prepared, params Params, s *Scratch) (*Res
 	if params.TrackVectors {
 		res.Dist.NormalizeVectors()
 	}
-	// The DP allocated its vector nodes from the scratch arena; the result
+	// The DP allocated its vector nodes from the scratch arenas; the result
 	// outlives this call, so copy its surviving vectors (at most
-	// MaxLines × k nodes — a sliver of what the DP churned) out of the arena
-	// before the arena is recycled for the next query.
+	// MaxLines × k nodes — a sliver of what the DP churned) out of the arenas
+	// before they are recycled for the next query.
 	res.Dist.DetachVectors()
 	s.arena.Reset()
+	for _, h := range helpers {
+		h.arena.Reset()
+		PutScratch(h)
+	}
 	return res, nil
 }
 
-// autoParallelWork is the minimum DP work estimate (scan depth × k,
-// proportional to the cell count) above which Parallelism == 0 fans out.
-// Below it a query completes in well under a millisecond, and goroutine
-// hand-off plus per-worker scratch traffic outweigh the concurrency win.
-const autoParallelWork = 512
+// autoParallelWork is the minimum DP work estimate (scan depth × k) at
+// which Parallelism == 0 fans out. BenchmarkDPCrossover at -cpu 2 on a
+// 2-vCPU Xeon sets it: from work 96 up, two workers beat one at every point
+// (by 2–20%); from 88 to 92 the two were within noise; below that, queries
+// take well under a millisecond and on the synthetic table the second worker
+// lost by up to 45%, its start-up and hand-off costing more than it saves.
+// Of the topkd cold-mix classes (BenchmarkDPClasses), all but k=2 synth
+// (work 88–96) fan out.
+const autoParallelWork = 96
 
 // dpWorkers resolves Params.Parallelism to a worker count: ≥ 2 is an
 // explicit fan-out, 1 or negative forces serial, and 0 auto-tunes — serial
@@ -133,70 +133,45 @@ func dpWorkers(params Params, units, scanDepth int) int {
 	return w
 }
 
-// runUnitsParallel fans the independent unit DPs out over a bounded worker
-// pool. Results are collected by unit index, so the merged distribution is
-// identical to the serial one; cell counts are accumulated atomically.
+// runUnits runs the independent unit DPs on the given number of workers and
+// returns their distributions by unit index, so the merge that follows is
+// the same whatever the worker count; cell counts are summed atomically.
 //
-// Each worker owns a pooled Scratch whose arena backs the vector nodes of
-// the units it runs, so every per-unit result is detached from that arena
-// (a ≤ MaxLines × k copy) before the worker releases the Scratch.
-func runUnitsParallel(p *uncertain.Prepared, units []uncertain.Unit, params Params, workers int, cells *int) []*pmf.Dist {
-	perUnit := make([]*pmf.Dist, len(units))
-	var counted int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	worker := func(claim func() int) {
-		defer wg.Done()
-		ws := GetScratch()
-		defer PutScratch(ws)
-		ws.grid.Arena = &ws.arena
+// Worker 0 is the caller, running on the query's own Scratch s. Each of the
+// other workers−1 goroutines runs on a pooled Scratch, returned as helpers:
+// their arenas back vector nodes of the per-unit results, so the caller
+// releases them only after detaching the answer. With one worker no
+// goroutine starts.
+//
+// Units are claimed from the last one down. A later unit has more prefix
+// rows above it, so the largest units start first and the run ends on small
+// ones, which keeps the workers' finishing times close.
+func runUnits(p *uncertain.Prepared, units []uncertain.Unit, params Params, workers int, s *Scratch, cells *int) (perUnit []*pmf.Dist, helpers []*Scratch) {
+	perUnit = make([]*pmf.Dist, len(units))
+	var next, counted atomic.Int64
+	next.Store(int64(len(units)))
+	run := func(ws *Scratch) {
 		local := 0
-		for {
-			i := claim()
-			if i < 0 {
-				break
-			}
-			d := runUnitDP(buildUnitRows(p, units[i]), params, ws, &local)
-			d.DetachVectors()
-			perUnit[i] = d
+		for i := int(next.Add(-1)); i >= 0; i = int(next.Add(-1)) {
+			perUnit[i] = runUnitDP(ws.buildUnitRows(p, units[i]), params, ws, &local)
 		}
-		ws.arena.Reset()
-		atomic.AddInt64(&counted, int64(local))
+		counted.Add(int64(local))
 	}
-	if len(units) > 4*workers {
-		// Many units per worker: a shared atomic cursor is cheaper than
-		// channel hand-off at this grain.
-		cursor := int64(-1)
-		claim := func() int {
-			if i := int(atomic.AddInt64(&cursor, 1)); i < len(units) {
-				return i
-			}
-			return -1
-		}
-		for w := 0; w < workers; w++ {
-			go worker(claim)
-		}
-	} else {
-		// Buffered to capacity: the producer below never blocks handing out
-		// unit indices.
-		next := make(chan int, len(units))
-		for i := range units {
-			next <- i
-		}
-		close(next)
-		claim := func() int {
-			if i, ok := <-next; ok {
-				return i
-			}
-			return -1
-		}
-		for w := 0; w < workers; w++ {
-			go worker(claim)
-		}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		ws := GetScratch()
+		ws.grid.Arena = &ws.arena
+		helpers = append(helpers, ws)
+		go func() {
+			defer wg.Done()
+			run(ws)
+		}()
 	}
+	run(s)
 	wg.Wait()
-	*cells += int(counted)
-	return perUnit
+	*cells += int(counted.Load())
+	return perUnit, helpers
 }
 
 // buildUnitRows constructs the DP rows for one unit.
@@ -210,42 +185,49 @@ func runUnitsParallel(p *uncertain.Prepared, units []uncertain.Unit, params Para
 // [0, q) with q's own group removed (its higher-ranked mates must simply not
 // appear, which conditioning on q's presence already implies), followed by
 // the single row q, the only enabled exit point.
-func buildUnitRows(p *uncertain.Prepared, u uncertain.Unit) []row {
-	var rows []row
-	var skipGroup = -1
+//
+// The rows and their branches are built into s's buffers and stay valid until
+// the next call. Each position above the unit adds at most one branch and
+// each unit position exactly one, so reserving u.End branches up front means
+// the buffer never moves while rows point into it.
+func (s *Scratch) buildUnitRows(p *uncertain.Prepared, u uncertain.Unit) []row {
+	skipGroup := -1
 	if u.Kind == uncertain.UnitNonLead {
 		skipGroup = p.Tuples[u.Start].Group
 	}
-	seen := make(map[int]bool)
+	if cap(s.branches) < u.End {
+		s.branches = make([]pmf.TakeBranch, 0, u.End)
+	}
+	branches, rows := s.branches[:0], s.rows[:0]
 	for pos := 0; pos < u.Start; pos++ {
-		g := p.Tuples[pos].Group
-		if g == skipGroup || seen[g] {
+		// A group's lead is its first member in rank order, so visiting
+		// leads only compresses each group above the unit exactly once.
+		tp := &p.Tuples[pos]
+		if !tp.Lead || tp.Group == skipGroup {
 			continue
 		}
-		seen[g] = true
-		var r row
+		first := len(branches)
 		mass := 0.0
-		for _, m := range p.GroupMembers(g) {
+		for _, m := range p.GroupMembers(tp.Group) {
 			if m >= u.Start {
 				break
 			}
-			tp := p.Tuples[m]
-			r.branches = append(r.branches, pmf.TakeBranch{Shift: tp.Score, Factor: tp.Prob, Tuple: m})
-			mass += tp.Prob
+			mp := &p.Tuples[m]
+			branches = append(branches, pmf.TakeBranch{Shift: mp.Score, Factor: mp.Prob, Tuple: m})
+			mass += mp.Prob
 		}
-		if r.skipFactor = 1 - mass; r.skipFactor < 0 {
+		r := row{skipFactor: 1 - mass, branches: branches[first:]}
+		if r.skipFactor < 0 {
 			r.skipFactor = 0
 		}
 		rows = append(rows, r)
 	}
 	for pos := u.Start; pos < u.End; pos++ {
-		tp := p.Tuples[pos]
-		rows = append(rows, row{
-			skipFactor: 1 - tp.Prob,
-			branches:   []pmf.TakeBranch{{Shift: tp.Score, Factor: tp.Prob, Tuple: pos}},
-			exit:       true,
-		})
+		tp := &p.Tuples[pos]
+		branches = append(branches, pmf.TakeBranch{Shift: tp.Score, Factor: tp.Prob, Tuple: pos})
+		rows = append(rows, row{skipFactor: 1 - tp.Prob, branches: branches[len(branches)-1:], exit: true})
 	}
+	s.branches, s.rows = branches, rows
 	return rows
 }
 
@@ -257,17 +239,21 @@ func buildUnitRows(p *uncertain.Prepared, u uncertain.Unit) []row {
 // probabilities and the skip factors of all unchosen rows above the deepest
 // chosen one — exactly the configuration sub-event semantics of Theorem 3.
 // The answer is dists[k] after the top row.
+//
+// Column j at row i reaches the answer only through the i rows above it,
+// each adding at most one tuple, so the columns j < k−i are dead and are
+// never computed (nor counted in cells): up to k(k−1)/2 cells fewer per
+// unit.
 func runUnitDP(rows []row, params Params, s *Scratch, cells *int) *pmf.Dist {
 	k := params.K
-	dists := make([]*pmf.Dist, k+1)
-	next := make([]*pmf.Dist, k+1)
+	dists, next := s.columns(k)
 	exitPoint := s.exitPoint()
 	// pool recycles the previous generation's distributions: after a row is
 	// processed, the old column entries are unreachable and their line
 	// storage can back the next row's outputs. When the local pool is dry,
 	// distributions recycled from earlier units and queries (the Scratch
 	// free list) are used before allocating.
-	var pool []*pmf.Dist
+	pool := s.pool[:0]
 	fromPool := func() *pmf.Dist {
 		if n := len(pool); n > 0 {
 			d := pool[n-1]
@@ -286,7 +272,7 @@ func runUnitDP(rows []row, params Params, s *Scratch, cells *int) *pmf.Dist {
 	for i := len(rows) - 1; i >= 0; i-- {
 		cur = &rows[i]
 		r := cur
-		for j := k; j >= 1; j-- {
+		for j := k; j >= max(1, k-i); j-- {
 			var take *pmf.Dist
 			if j == 1 {
 				if r.exit {
@@ -300,6 +286,7 @@ func runUnitDP(rows []row, params Params, s *Scratch, cells *int) *pmf.Dist {
 			next[j] = d
 			*cells++
 		}
+		// Dead columns have no next entry, so this also retires them.
 		for j := 1; j <= k; j++ {
 			if dists[j] != nil {
 				pool = append(pool, dists[j])
@@ -311,11 +298,15 @@ func runUnitDP(rows []row, params Params, s *Scratch, cells *int) *pmf.Dist {
 	for _, d := range pool {
 		s.putDist(d)
 	}
+	clear(pool)
+	s.pool = pool[:0]
 	for j := 1; j < k; j++ {
 		s.putDist(dists[j])
 	}
-	if dists[k] == nil {
+	ans := dists[k]
+	clear(dists)
+	if ans == nil {
 		return pmf.New()
 	}
-	return dists[k]
+	return ans
 }

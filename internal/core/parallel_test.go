@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"probtopk/internal/cartel"
@@ -68,5 +69,34 @@ func TestParallelSmallTables(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameDist(t, "parallel-small", par.Dist, serial.Dist)
+	}
+}
+
+// TestDPWorkers pins how Params.Parallelism resolves to a worker count: the
+// auto-tuned crossover at autoParallelWork, serial at GOMAXPROCS 1 and for
+// fewer than two units, and explicit counts capped only by the unit count.
+func TestDPWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	cases := []struct {
+		procs, par, k, depth, units, want int
+	}{
+		{procs: 1, par: 0, k: 10, depth: 1000, units: 50, want: 1},
+		{procs: 2, par: 0, k: 2, depth: autoParallelWork/2 - 1, units: 50, want: 1},
+		{procs: 2, par: 0, k: 2, depth: autoParallelWork / 2, units: 50, want: 2},
+		{procs: 2, par: 0, k: 1, depth: autoParallelWork, units: 50, want: 2},
+		{procs: 4, par: 0, k: 5, depth: 200, units: 3, want: 3},
+		{procs: 4, par: 0, k: 5, depth: 200, units: 1, want: 1},
+		{procs: 4, par: 0, k: 5, depth: 0, units: 0, want: 1},
+		{procs: 2, par: 1, k: 10, depth: 1000, units: 50, want: 1},
+		{procs: 2, par: -3, k: 10, depth: 1000, units: 50, want: 1},
+		{procs: 1, par: 2, k: 1, depth: 1, units: 50, want: 2},
+		{procs: 2, par: 7, k: 1, depth: 1, units: 3, want: 3},
+		{procs: 2, par: 7, k: 1, depth: 1, units: 1, want: 1},
+	}
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.procs)
+		if got := dpWorkers(Params{K: c.k, Parallelism: c.par}, c.units, c.depth); got != c.want {
+			t.Errorf("GOMAXPROCS=%d %+v: %d workers, want %d", c.procs, c, got, c.want)
+		}
 	}
 }

@@ -11,6 +11,12 @@ import (
 // pool forever.
 const maxFreeDists = 64
 
+// maxKeptRows bounds the unit-row and branch buffers a pooled Scratch keeps
+// (in entries; about 40 and 24 bytes each), for the same reason: a scan of a
+// few hundred tuples fits many times over, an exact scan of a huge table
+// does not pin its buffers after the query.
+const maxKeptRows = 1 << 14
+
 // Scratch is the reusable per-query working state of the main dynamic
 // program: the fused combine/coalesce buffers, the closest-pair coalescing
 // buffers, and a free list of recycled intermediate distributions. A zero
@@ -31,6 +37,14 @@ type Scratch struct {
 	// before returning, so the hundreds of thousands of intermediate nodes
 	// per query never reach the garbage collector.
 	arena pmf.VectorArena
+
+	// Buffers the DP refills for every unit: the unit's rows and their take
+	// branches (buildUnitRows), the current and next DP columns, and the
+	// distributions the current unit retired (runUnitDP).
+	rows     []row
+	branches []pmf.TakeBranch
+	cols     []*pmf.Dist
+	pool     []*pmf.Dist
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(Scratch) }}
@@ -41,7 +55,16 @@ func GetScratch() *Scratch { return scratchPool.Get().(*Scratch) }
 // PutScratch returns s to the process-wide pool.
 func PutScratch(s *Scratch) {
 	if s != nil {
+		s.trim()
 		scratchPool.Put(s)
+	}
+}
+
+// trim drops row buffers grown past maxKeptRows, rows and branches together
+// since rows point into the branch buffer.
+func (s *Scratch) trim() {
+	if cap(s.rows) > maxKeptRows || cap(s.branches) > maxKeptRows {
+		s.rows, s.branches = nil, nil
 	}
 }
 
@@ -63,6 +86,16 @@ func (s *Scratch) putDist(d *pmf.Dist) {
 	}
 	d.Reset()
 	s.free = append(s.free, d)
+}
+
+// columns returns the current and next DP columns for a k-column run, both
+// all nil; runUnitDP leaves them all nil when it returns.
+func (s *Scratch) columns(k int) (cur, next []*pmf.Dist) {
+	if cap(s.cols) < 2*(k+1) {
+		s.cols = make([]*pmf.Dist, 2*(k+1))
+	}
+	c := s.cols[:2*(k+1)]
+	return c[:k+1], c[k+1:]
 }
 
 // exitPoint returns the shared single-line distribution {(0, 1)} used as the

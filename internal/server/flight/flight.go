@@ -19,10 +19,11 @@ package flight
 import "sync"
 
 // call is one in-progress computation: followers block on done and then
-// read val.
+// read val. dups counts the followers that joined, guarded by Group.mu.
 type call[V any] struct {
 	done chan struct{}
 	val  V
+	dups int
 }
 
 // Group deduplicates concurrent calls by key. The zero value is ready to
@@ -47,6 +48,7 @@ func (g *Group[V]) Do(key string, fn func() V) (v V, shared bool) {
 		g.m = make(map[string]*call[V])
 	}
 	if c, ok := g.m[key]; ok {
+		c.dups++
 		g.mu.Unlock()
 		<-c.done
 		return c.val, true
@@ -70,4 +72,16 @@ func (g *Group[V]) InFlight() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return len(g.m)
+}
+
+// Waiters reports how many followers have joined key's in-progress flight
+// (0 when none is in flight), so a test can hold the leader until the
+// callers it expects are parked on the flight.
+func (g *Group[V]) Waiters(key string) int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.m[key]; ok {
+		return c.dups
+	}
+	return 0
 }

@@ -1,10 +1,10 @@
 package flight
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // N concurrent callers on one cold key execute fn exactly once and all see
@@ -27,8 +27,9 @@ func TestCoalesce(t *testing.T) {
 			})
 		}(i)
 	}
-	// Let every goroutine reach Do before the leader finishes.
-	for g.InFlight() == 0 {
+	// Hold the leader until every other caller has joined its flight.
+	for g.Waiters("k") < n-1 {
+		runtime.Gosched()
 	}
 	close(gate)
 	wg.Wait()
@@ -47,8 +48,8 @@ func TestCoalesce(t *testing.T) {
 	if leaders != 1 {
 		t.Fatalf("%d leaders, want 1", leaders)
 	}
-	if g.InFlight() != 0 {
-		t.Fatalf("key leaked: %d in flight", g.InFlight())
+	if g.InFlight() != 0 || g.Waiters("k") != 0 {
+		t.Fatalf("key leaked: %d in flight, %d waiters", g.InFlight(), g.Waiters("k"))
 	}
 }
 
@@ -92,23 +93,19 @@ func TestLeaderPanicUnblocksFollowers(t *testing.T) {
 		g.Do("k", func() int { <-gate; panic("boom") })
 	}()
 	for g.InFlight() == 0 {
+		runtime.Gosched()
 	}
 	var followerRan atomic.Bool
 	go func() {
 		v, _ := g.Do("k", func() int { followerRan.Store(true); return 7 })
 		done <- v
 	}()
-	// Give the follower time to join the flight; if it loses the race and
-	// becomes a fresh leader instead, the assertions below account for it.
-	time.Sleep(10 * time.Millisecond)
+	for g.Waiters("k") < 1 {
+		runtime.Gosched()
+	}
 	close(gate)
-	v := <-done
-	if followerRan.Load() {
-		if v != 7 {
-			t.Fatalf("late caller ran fn but got %d", v)
-		}
-	} else if v != 0 {
-		t.Fatalf("follower of panicked leader got %d, want zero value", v)
+	if v := <-done; followerRan.Load() || v != 0 {
+		t.Fatalf("follower of panicked leader got %d (ran fn: %v), want zero value", v, followerRan.Load())
 	}
 	if v, shared := g.Do("k", func() int { return 7 }); shared || v != 7 {
 		t.Fatalf("key not forgotten after panic: v=%d shared=%v", v, shared)

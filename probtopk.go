@@ -100,9 +100,10 @@ type Options struct {
 	Normalize bool
 	// Parallelism lets the main algorithm process its independent
 	// dynamic-programming units on up to this many goroutines. The result is
-	// bit-identical to serial execution. The zero value auto-tunes: large
-	// queries fan out over min(GOMAXPROCS, units) workers, small ones run
-	// serially. 1 or negative forces serial; ≥ 2 sets the count explicitly.
+	// bit-identical to serial execution. The zero value auto-tunes: queries
+	// whose scan depth × k reaches 96 fan out over min(GOMAXPROCS, units)
+	// workers, smaller ones run serially. 1 or negative forces serial; ≥ 2
+	// sets the count explicitly.
 	Parallelism int
 }
 
