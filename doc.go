@@ -55,12 +55,13 @@
 // scratch is pooled, so steady-state queries allocate near-zero, with
 // results bit-identical to fresh allocation. Engine.TopKDistributionBatch
 // evaluates many (k, threshold) queries against one table, sharing the
-// preparation and scan and fanning out over a bounded worker pool. Every
-// query method has a *Snapshot form (TopKDistributionSnapshot, the
-// baseline semantics, batches) for lock-free reads concurrent with
-// mutation. The package-level functions use a shared default engine;
-// construct one with NewEngine to isolate cache capacity and statistics
-// per workload.
+// preparation and scan; queries of equal k also share their unit DPs,
+// computed once per batch, with every answer bit-identical to its
+// standalone query. Every query method has a *Snapshot form
+// (TopKDistributionSnapshot, the baseline semantics, batches) for lock-free
+// reads concurrent with mutation. The package-level functions use a shared
+// default engine; construct one with NewEngine to isolate cache capacity
+// and statistics per workload.
 //
 // # Dynamic index
 //

@@ -194,9 +194,10 @@ type BatchQuery struct {
 // TopKDistributionBatch answers many (k, threshold) queries against one
 // table with the main algorithm, sharing a single (cached) preparation and
 // scan across all of them. opts supplies the shared options; each query's K
-// and Threshold override it. Queries fan out over up to opts.Parallelism
-// goroutines (values below 2 run serially, each query's own unit-level
-// parallelism then still applies). Results are indexed like queries.
+// and Threshold override it. Queries of equal k share their unit DPs: each
+// runs once for the whole group, fanned out over opts.Parallelism unit
+// workers exactly as for a single query, and every answer is bit-identical
+// to its standalone query. Results are indexed like queries.
 func (e *Engine) TopKDistributionBatch(t *Table, queries []BatchQuery, opts *Options) ([]*Distribution, error) {
 	if t == nil {
 		return nil, ErrNilTable
@@ -223,7 +224,7 @@ func (e *Engine) TopKDistributionBatchSnapshot(s *Snapshot, queries []BatchQuery
 	for i, q := range queries {
 		qs[i] = engine.Query{K: q.K, Threshold: resolveThreshold(q.Threshold)}
 	}
-	results, err := e.e.BatchPrepared(prep, params, qs, params.Parallelism)
+	results, err := e.e.BatchPrepared(prep, params, qs, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"probtopk/internal/cartel"
@@ -101,6 +102,57 @@ func BenchmarkDPCrossover(b *testing.B) {
 					})
 				}
 			}
+		}
+	}
+}
+
+// BenchmarkDPBatch times the topkd cold-mix batch shape — one k, three
+// thresholds from the low, middle and high thirds of the log grid over
+// [2·10⁻³, 4·10⁻³], 60 lines, vectors tracked — answered as one batch, whose
+// unit DPs run once for all three answers, and as three separate queries.
+// It reports the unit DPs each variant runs per batch.
+func BenchmarkDPBatch(b *testing.B) {
+	var thresholds []float64
+	for i := range 3 {
+		thresholds = append(thresholds, 2e-3*math.Pow(2, (float64(i)+0.5)/3))
+	}
+	for _, k := range []int{2, 5, 10} {
+		for _, tb := range dpClassTables(b) {
+			params := Params{K: k, MaxLines: 60, TrackVectors: true}
+			b.Run(fmt.Sprintf("k=%d/%s/batch", k, tb.name), func(b *testing.B) {
+				s := GetScratch()
+				defer PutScratch(s)
+				var res []*Result
+				for b.Loop() {
+					var err error
+					if res, err = DistributionBatch(tb.p, params, thresholds, s); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var depths []int
+				for _, r := range res {
+					depths = append(depths, r.ScanDepth)
+				}
+				units := batchUnits(tb.p, depths)
+				b.ReportMetric(float64(units), "units/batch")
+			})
+			b.Run(fmt.Sprintf("k=%d/%s/separate", k, tb.name), func(b *testing.B) {
+				s := GetScratch()
+				defer PutScratch(s)
+				units := 0
+				for b.Loop() {
+					units = 0
+					for _, th := range thresholds {
+						params.Threshold = th
+						res, err := DistributionScratch(tb.p, params, s)
+						if err != nil {
+							b.Fatal(err)
+						}
+						units += res.Units
+					}
+				}
+				b.ReportMetric(float64(units), "units/batch")
+			})
 		}
 	}
 }

@@ -58,48 +58,136 @@ func Distribution(p *uncertain.Prepared, params Params) (*Result, error) {
 
 // DistributionScratch is Distribution running against an explicit Scratch,
 // for callers (the query engine, the sliding window) that manage scratch
-// lifetime themselves. The result is bit-identical to running with a fresh
-// zero Scratch.
+// lifetime themselves: the one-threshold case of DistributionBatch. The
+// result is bit-identical to running with a fresh zero Scratch.
 func DistributionScratch(p *uncertain.Prepared, params Params, s *Scratch) (*Result, error) {
-	if err := params.validate(p); err != nil {
+	res, err := DistributionBatch(p, params, []float64{params.Threshold}, s)
+	if err != nil {
 		return nil, err
 	}
-	n := ScanDepth(p, params.K, params.Threshold)
-	res := &Result{ScanDepth: n}
-	units := p.UnitsPrefix(n)
-	res.Units = len(units)
+	return res[0], nil
+}
+
+// answerPlan is how DistributionBatch assembles one answer from the batch's
+// unit answers: the first cut units of the deepest scan, then the truncated
+// boundary unit of a shallower scan when it has one.
+type answerPlan struct {
+	depth, units, cut int
+	boundary          int // index of the boundary unit's answer; -1 for none
+	same              int // index of an earlier answer of equal depth; -1 for none
+}
+
+// DistributionBatch answers one main-algorithm query per threshold; every
+// other setting comes from params, whose Threshold is ignored. Result i
+// answers thresholds[i] and is bit-identical, counters included, to
+// DistributionScratch with that threshold.
+//
+// A unit's DP depends on K, the line cap, the coalesce mode and vector
+// tracking, but not on pτ: the threshold only sets the Theorem-2 scan depth,
+// and a shallower scan's units are the deepest scan's first units, the last
+// one possibly truncated at the shallower depth. So the batch runs the
+// deepest scan's unit DPs, plus the truncated boundary unit of each
+// shallower depth, once, on params.Parallelism workers, and assembles every
+// answer from its own units: merged in unit order (pmf.Merger), coalesced
+// to MaxLines, then copied out of the scratch buffers. Unit answers are
+// shared between answers and never modified.
+func DistributionBatch(p *uncertain.Prepared, params Params, thresholds []float64, s *Scratch) ([]*Result, error) {
+	if len(thresholds) == 0 {
+		return nil, nil
+	}
+	for _, t := range thresholds {
+		params.Threshold = t
+		if err := params.validate(p); err != nil {
+			return nil, err
+		}
+	}
+	deepest := 0
+	plans := s.plans[:0]
+	for _, t := range thresholds {
+		d := ScanDepth(p, params.K, t)
+		plans = append(plans, answerPlan{depth: d, boundary: -1, same: -1})
+		deepest = max(deepest, d)
+	}
+	units := p.UnitsPrefix(deepest)
+	jobs := append(s.jobs[:0], units...)
+	for i := range plans {
+		pl := &plans[i]
+		for j := range plans[:i] {
+			if plans[j].depth == pl.depth {
+				pl.same = j
+				break
+			}
+		}
+		if pl.same >= 0 {
+			continue
+		}
+		own := units
+		if pl.depth < deepest {
+			own = p.UnitsPrefix(pl.depth)
+		}
+		pl.units, pl.cut = len(own), len(own)
+		if c := len(own) - 1; c >= 0 && own[c] != units[c] {
+			pl.boundary, pl.cut = len(jobs), c
+			jobs = append(jobs, own[c])
+		}
+	}
+	s.plans, s.jobs = plans, jobs
 	s.grid.Arena = &s.arena
-	perUnit, helpers := runUnits(p, units, params, dpWorkers(params, len(units), n), s, &res.Cells)
-	dists := perUnit[:0]
-	for _, d := range perUnit {
-		if !d.IsEmpty() {
-			dists = append(dists, d)
+	done, helpers := runUnits(p, jobs, params, dpWorkers(params, len(jobs), deepest), s)
+
+	results := make([]*Result, len(plans))
+	for i, pl := range plans {
+		if pl.same >= 0 {
+			// Equal depth, equal units: the same answer. The copy shares the
+			// detached (immutable) vectors.
+			prev := results[pl.same]
+			results[i] = &Result{Dist: prev.Dist.Clone(), ScanDepth: prev.ScanDepth, Units: prev.Units, Cells: prev.Cells}
+			continue
 		}
-	}
-	res.Dist = pmf.MergeAll(dists)
-	// The per-unit distributions are dead after the merge (MergeAll always
-	// returns fresh storage); recycle them for the next query. dists is the
-	// compacted filter of perUnit, so each distribution appears exactly once.
-	for _, d := range dists {
-		if d != res.Dist {
-			s.putDist(d)
+		res := &Result{ScanDepth: pl.depth, Units: pl.units}
+		var boundary []unitAnswer
+		if pl.boundary >= 0 {
+			boundary = done[pl.boundary : pl.boundary+1]
 		}
+		own := s.merging[:0]
+		for _, part := range [2][]unitAnswer{done[:pl.cut], boundary} {
+			for _, a := range part {
+				res.Cells += a.cells
+				if !a.dist.IsEmpty() {
+					own = append(own, a.dist)
+				}
+			}
+		}
+		merged := s.merge.MergeAll(own)
+		clear(own)
+		s.merging = own[:0]
+		s.co.Coalesce(merged, params.MaxLines, params.CoalesceMode)
+		// Only the at most MaxLines surviving lines leave the scratch buffers.
+		res.Dist = merged.Clone()
+		if params.TrackVectors {
+			res.Dist.NormalizeVectors()
+		}
+		// The DP allocated its vector nodes from the scratch arenas; the
+		// result outlives this call, so copy its surviving vectors (at most
+		// MaxLines × k nodes — a sliver of what the DP churned) out of the
+		// arenas before they are recycled for the next query.
+		res.Dist.DetachVectors()
+		results[i] = res
 	}
-	s.co.Coalesce(res.Dist, params.MaxLines, params.CoalesceMode)
-	if params.TrackVectors {
-		res.Dist.NormalizeVectors()
+
+	// Every answer is detached: recycle the unit answers into the Scratch
+	// whose free list the DP drew them from, then the arenas and helpers.
+	for _, a := range done {
+		a.owner.putDist(a.dist)
 	}
-	// The DP allocated its vector nodes from the scratch arenas; the result
-	// outlives this call, so copy its surviving vectors (at most
-	// MaxLines × k nodes — a sliver of what the DP churned) out of the arenas
-	// before they are recycled for the next query.
-	res.Dist.DetachVectors()
+	clear(done)
 	s.arena.Reset()
 	for _, h := range helpers {
 		h.arena.Reset()
 		PutScratch(h)
 	}
-	return res, nil
+	clear(helpers)
+	return results, nil
 }
 
 // autoParallelWork is the minimum DP work estimate (scan depth × k) at
@@ -133,29 +221,45 @@ func dpWorkers(params Params, units, scanDepth int) int {
 	return w
 }
 
+// unitAnswer is one unit DP's answer, its cell count, and the Scratch that
+// built it — whose free list the answer goes back to.
+type unitAnswer struct {
+	dist  *pmf.Dist
+	cells int
+	owner *Scratch
+}
+
 // runUnits runs the independent unit DPs on the given number of workers and
-// returns their distributions by unit index, so the merge that follows is
-// the same whatever the worker count; cell counts are summed atomically.
+// returns their answers by unit index, so the merges that follow are the
+// same whatever the worker count.
 //
 // Worker 0 is the caller, running on the query's own Scratch s. Each of the
 // other workers−1 goroutines runs on a pooled Scratch, returned as helpers:
-// their arenas back vector nodes of the per-unit results, so the caller
-// releases them only after detaching the answer. With one worker no
-// goroutine starts.
+// their arenas back vector nodes of the unit answers, so the caller
+// releases them only after detaching every result. With one worker no
+// goroutine starts. Both returned slices are s's buffers.
 //
 // Units are claimed from the last one down. A later unit has more prefix
 // rows above it, so the largest units start first and the run ends on small
 // ones, which keeps the workers' finishing times close.
-func runUnits(p *uncertain.Prepared, units []uncertain.Unit, params Params, workers int, s *Scratch, cells *int) (perUnit []*pmf.Dist, helpers []*Scratch) {
-	perUnit = make([]*pmf.Dist, len(units))
-	var next, counted atomic.Int64
+func runUnits(p *uncertain.Prepared, units []uncertain.Unit, params Params, workers int, s *Scratch) (done []unitAnswer, helpers []*Scratch) {
+	if cap(s.done) < len(units) {
+		s.done = make([]unitAnswer, len(units))
+	}
+	done = s.done[:len(units)]
+	helpers = s.helpers[:0]
+	if workers < 2 {
+		for i := len(units) - 1; i >= 0; i-- {
+			done[i] = runUnit(p, units[i], params, s)
+		}
+		return done, helpers
+	}
+	var next atomic.Int64
 	next.Store(int64(len(units)))
 	run := func(ws *Scratch) {
-		local := 0
 		for i := int(next.Add(-1)); i >= 0; i = int(next.Add(-1)) {
-			perUnit[i] = runUnitDP(ws.buildUnitRows(p, units[i]), params, ws, &local)
+			done[i] = runUnit(p, units[i], params, ws)
 		}
-		counted.Add(int64(local))
 	}
 	var wg sync.WaitGroup
 	wg.Add(workers - 1)
@@ -170,8 +274,15 @@ func runUnits(p *uncertain.Prepared, units []uncertain.Unit, params Params, work
 	}
 	run(s)
 	wg.Wait()
-	*cells += int(counted.Load())
-	return perUnit, helpers
+	s.helpers = helpers
+	return done, helpers
+}
+
+// runUnit runs one unit's DP on ws.
+func runUnit(p *uncertain.Prepared, u uncertain.Unit, params Params, ws *Scratch) unitAnswer {
+	a := unitAnswer{owner: ws}
+	a.dist = runUnitDP(ws.buildUnitRows(p, u), params, ws, &a.cells)
+	return a
 }
 
 // buildUnitRows constructs the DP rows for one unit.

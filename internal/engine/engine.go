@@ -17,8 +17,8 @@
 //     allocate near-zero. Results are bit-identical to fresh allocation.
 //   - Batched multi-query execution. Many (k, threshold) queries against
 //     one prepared table share the preparation, the precomputed Theorem-2
-//     prefix sums and the memoized unit decomposition, fanned out over a
-//     bounded worker pool.
+//     prefix sums and the memoized unit decomposition; queries of equal k
+//     also share their unit DPs, each computed once per batch.
 //
 // An Engine is safe for concurrent use. Queries that enter through a
 // *Table must follow the usual Table contract (no mutation concurrent with
@@ -340,78 +340,52 @@ type Query struct {
 
 // Batch answers many (k, threshold) queries against one table, sharing a
 // single (cached) preparation, the precomputed prefix sums and the memoized
-// unit decomposition. workers bounds the fan-out goroutines; values below 2
-// run the batch serially on the calling goroutine. When fanning out, each
-// query's DP runs serially (base.Parallelism is ignored) — the batch itself
-// is the parallelism.
+// unit decomposition. Queries are grouped by k, and each group is one
+// core.DistributionBatch: its unit DPs run once for all of the group's
+// thresholds, on base.Parallelism unit workers as for a single query.
 //
-// Results are indexed like queries. The first error (by query index) aborts
-// the batch.
-func (e *Engine) Batch(t *uncertain.Table, base core.Params, queries []Query, workers int) ([]*core.Result, error) {
+// Results are indexed like queries. An invalid query aborts the batch.
+func (e *Engine) Batch(t *uncertain.Table, base core.Params, queries []Query) ([]*core.Result, error) {
 	prep, err := e.Prepare(t)
 	if err != nil {
 		return nil, err
 	}
-	return e.BatchPrepared(prep, base, queries, workers)
+	return e.BatchPrepared(prep, base, queries, 0)
 }
 
-// BatchPrepared is Batch against an already-prepared table.
-func (e *Engine) BatchPrepared(p *uncertain.Prepared, base core.Params, queries []Query, workers int) ([]*core.Result, error) {
+// BatchPrepared is Batch against an already-prepared table. The last
+// argument is unused: it was a query-level worker count, and stays only so
+// that existing callers (perfbench's replay) keep compiling.
+func (e *Engine) BatchPrepared(p *uncertain.Prepared, base core.Params, queries []Query, _ int) ([]*core.Result, error) {
 	results := make([]*core.Result, len(queries))
 	if len(queries) == 0 {
 		return results, nil
 	}
-	// Force the memoization of the unit decomposition before fanning out so
-	// every query shares one computation of it.
-	p.AllUnits()
-	if workers > len(queries) {
-		workers = len(queries)
-	}
-	if workers < 2 {
-		s := core.GetScratch()
-		defer core.PutScratch(s)
-		for i, q := range queries {
-			params := base
-			params.K = q.K
-			params.Threshold = q.Threshold
-			start := time.Now()
-			res, err := core.DistributionScratch(p, params, s)
-			e.recordQueries(1, time.Since(start))
-			if err != nil {
-				return nil, err
-			}
-			results[i] = res
+	s := core.GetScratch()
+	defer core.PutScratch(s)
+	var members []int
+	var thresholds []float64
+	for i, q := range queries {
+		if results[i] != nil {
+			continue // answered in the group of an earlier query with its k
 		}
-		return results, nil
-	}
-	errs := make([]error, len(queries))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			s := core.GetScratch()
-			defer core.PutScratch(s)
-			for i := range next {
-				params := base
-				params.K = queries[i].K
-				params.Threshold = queries[i].Threshold
-				params.Parallelism = 1 // serial DP: the batch is the parallelism
-				start := time.Now()
-				results[i], errs[i] = core.DistributionScratch(p, params, s)
-				e.recordQueries(1, time.Since(start))
+		members, thresholds = members[:0], thresholds[:0]
+		for j := i; j < len(queries); j++ {
+			if queries[j].K == q.K {
+				members = append(members, j)
+				thresholds = append(thresholds, queries[j].Threshold)
 			}
-		}()
-	}
-	for i := range queries {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	for _, err := range errs {
+		}
+		params := base
+		params.K = q.K
+		start := time.Now()
+		group, err := core.DistributionBatch(p, params, thresholds, s)
 		if err != nil {
 			return nil, err
+		}
+		e.recordQueries(len(group), time.Since(start))
+		for g, j := range members {
+			results[j] = group[g]
 		}
 	}
 	return results, nil

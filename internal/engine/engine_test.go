@@ -171,8 +171,9 @@ func TestPooledScratchBitIdentical(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesIndividual: batch execution (serial and fanned out) gives
-// exactly the per-query results.
+// TestBatchMatchesIndividual: a mixed-k batch, serial and with its unit
+// DPs fanned out, gives exactly the per-query results, and the query
+// counter counts every answer.
 func TestBatchMatchesIndividual(t *testing.T) {
 	e := New(8)
 	tab := randomTable(rand.New(rand.NewSource(5)), 40, 0.3)
@@ -180,14 +181,18 @@ func TestBatchMatchesIndividual(t *testing.T) {
 		{K: 1, Threshold: 0.001}, {K: 2, Threshold: 0.001}, {K: 3, Threshold: 0},
 		{K: 2, Threshold: 0.05}, {K: 5, Threshold: 0.001}, {K: 4, Threshold: 0.01},
 	}
-	base := core.Params{MaxLines: 100, TrackVectors: true}
-	for _, workers := range []int{1, 4} {
-		results, err := e.Batch(tab, base, queries, workers)
+	for _, par := range []int{1, 4} {
+		base := core.Params{MaxLines: 100, TrackVectors: true, Parallelism: par}
+		before := e.Stats().Queries
+		results, err := e.Batch(tab, base, queries)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if got := e.Stats().Queries - before; got != uint64(len(queries)) {
+			t.Fatalf("par=%d: the batch counted %d queries, want %d", par, got, len(queries))
+		}
 		if len(results) != len(queries) {
-			t.Fatalf("workers=%d: %d results for %d queries", workers, len(results), len(queries))
+			t.Fatalf("par=%d: %d results for %d queries", par, len(results), len(queries))
 		}
 		for i, q := range queries {
 			params := base
@@ -197,10 +202,10 @@ func TestBatchMatchesIndividual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameDist(t, fmt.Sprintf("workers=%d query %d", workers, i), results[i].Dist, want.Dist)
-			if results[i].ScanDepth != want.ScanDepth {
-				t.Fatalf("workers=%d query %d: scan depth %d, want %d",
-					workers, i, results[i].ScanDepth, want.ScanDepth)
+			sameDist(t, fmt.Sprintf("par=%d query %d", par, i), results[i].Dist, want.Dist)
+			if results[i].ScanDepth != want.ScanDepth || results[i].Units != want.Units || results[i].Cells != want.Cells {
+				t.Fatalf("par=%d query %d: depth/units/cells %d/%d/%d, want %d/%d/%d", par, i,
+					results[i].ScanDepth, results[i].Units, results[i].Cells, want.ScanDepth, want.Units, want.Cells)
 			}
 		}
 	}
@@ -210,14 +215,14 @@ func TestBatchMatchesIndividual(t *testing.T) {
 	}
 }
 
-// TestBatchError: an invalid query aborts the batch in both execution modes.
+// TestBatchError: an invalid query aborts the batch, serial or fanned out.
 func TestBatchError(t *testing.T) {
 	e := New(4)
 	tab := randomTable(rand.New(rand.NewSource(6)), 10, 0)
 	queries := []Query{{K: 2, Threshold: 0.001}, {K: 0, Threshold: 0.001}}
-	for _, workers := range []int{1, 2} {
-		if _, err := e.Batch(tab, core.Params{TrackVectors: true}, queries, workers); err == nil {
-			t.Fatalf("workers=%d: k=0 should error", workers)
+	for _, par := range []int{1, 2} {
+		if _, err := e.Batch(tab, core.Params{TrackVectors: true, Parallelism: par}, queries); err == nil {
+			t.Fatalf("par=%d: k=0 should error", par)
 		}
 	}
 }
@@ -264,7 +269,7 @@ func TestQueryLatencyCounters(t *testing.T) {
 	if _, err := e.Distribution(tab, core.Params{K: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Batch(tab, core.Params{}, []Query{{K: 1}, {K: 2}, {K: 3}}, 2); err != nil {
+	if _, err := e.Batch(tab, core.Params{}, []Query{{K: 1}, {K: 2}, {K: 3}}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()

@@ -467,9 +467,10 @@ func TestSoADistEquivalence(t *testing.T) {
 }
 
 // TestSoAMergeAllEquivalence covers the per-unit merge used by the ME
-// algorithm's final union.
+// algorithm's final union, with one Merger reused across trials.
 func TestSoAMergeAllEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
+	var mg Merger
 	for trial := 0; trial < 30; trial++ {
 		k := 1 + rng.Intn(6)
 		ds := make([]*Dist, k)
@@ -479,19 +480,25 @@ func TestSoAMergeAllEquivalence(t *testing.T) {
 			ds[i] = d
 			refs = append(refs, r)
 		}
-		got := MergeAll(ds)
+		got := mg.MergeAll(ds)
 		want := refMergeAll(refs)
 		diffLines(t, "MergeAll", got, want, true)
 	}
 }
 
-// refMergeAll mirrors MergeAll's tournament order exactly, so equal-score
-// chains combine in the same sequence as the live kernel.
+// refMergeAll mirrors Merger.MergeAll's tournament order exactly — empty
+// inputs skipped — so equal-score chains combine in the same sequence as the
+// live kernel.
 func refMergeAll(ds [][]Line) []Line {
-	if len(ds) == 0 {
+	var work [][]Line
+	for _, d := range ds {
+		if len(d) > 0 {
+			work = append(work, d)
+		}
+	}
+	if len(work) == 0 {
 		return nil
 	}
-	work := append([][]Line(nil), ds...)
 	for len(work) > 1 {
 		var merged [][]Line
 		for i := 0; i < len(work); i += 2 {
@@ -506,7 +513,7 @@ func refMergeAll(ds [][]Line) []Line {
 	return work[0]
 }
 
-// refMerge mirrors Merge: a two-way union combining equal scores.
+// refMerge is one two-way union of the tournament, combining equal scores.
 func refMerge(a, b []Line) []Line {
 	var out []Line
 	i, j := 0, 0

@@ -156,6 +156,14 @@ func (c *Coalescer) grow(n int) {
 	c.next[n-1] = -1
 }
 
+// Trim drops scratch buffers grown past maxLines lines, so a pooled
+// Coalescer does not pin the heap of one huge coalesce.
+func (c *Coalescer) Trim(maxLines int) {
+	if cap(c.prev) > maxLines || cap(c.h) > 2*maxLines {
+		*c = Coalescer{}
+	}
+}
+
 // run implements the closest-pair strategy with a min-heap of adjacent gaps
 // over a doubly-linked list, with lazy invalidation by node version.
 // O((n + merges) log n).

@@ -161,64 +161,6 @@ func combineInto(dst *Dist, skip *Dist, skipFactor float64, take *Dist, branches
 	return out
 }
 
-// Merge unions two distributions (both scaled by 1), combining equal scores.
-// Used to merge per-unit final distributions in the ME-handling algorithm.
-func Merge(a, b *Dist) *Dist {
-	if a == nil || len(a.scores) == 0 {
-		if b == nil {
-			return New()
-		}
-		return b.Clone()
-	}
-	if b == nil || len(b.scores) == 0 {
-		return a.Clone()
-	}
-	out := &Dist{hasVec: a.hasVec || b.hasVec}
-	out.ensureCap(len(a.scores) + len(b.scores))
-	i, j := 0, 0
-	for i < len(a.scores) || j < len(b.scores) {
-		switch {
-		case i >= len(a.scores):
-			out.appendCombine(b.Line(j))
-			j++
-		case j >= len(b.scores):
-			out.appendCombine(a.Line(i))
-			i++
-		case a.scores[i] <= b.scores[j]:
-			out.appendCombine(a.Line(i))
-			i++
-		default:
-			out.appendCombine(b.Line(j))
-			j++
-		}
-	}
-	return out
-}
-
-// MergeAll merges a set of distributions pairwise (tournament order, to keep
-// intermediate sizes balanced).
-func MergeAll(ds []*Dist) *Dist {
-	switch len(ds) {
-	case 0:
-		return New()
-	case 1:
-		return ds[0].Clone()
-	}
-	work := append([]*Dist(nil), ds...)
-	for len(work) > 1 {
-		merged := work[:0]
-		for i := 0; i < len(work); i += 2 {
-			if i+1 < len(work) {
-				merged = append(merged, Merge(work[i], work[i+1]))
-			} else {
-				merged = append(merged, work[i])
-			}
-		}
-		work = merged
-	}
-	return work[0]
-}
-
 // Shift returns a copy of d with every score moved by delta.
 func (d *Dist) Shift(delta float64) *Dist {
 	c := d.Clone()

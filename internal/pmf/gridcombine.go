@@ -431,3 +431,15 @@ func (g *GridCombiner) grow(maxLines int, trackVectors bool) {
 	// must not leak. Clearing pointers is still cheap.
 	clear(g.cellBase)
 }
+
+// Trim drops cell and coalescing buffers grown past maxLines lines, so a
+// pooled GridCombiner does not pin the buffers of one huge line cap.
+func (g *GridCombiner) Trim(maxLines int) {
+	if cap(g.prob) > maxLines {
+		g.prob, g.sum, g.count = nil, nil, nil
+	}
+	if cap(g.cellHasVec) > maxLines {
+		g.cellVP, g.cellVB, g.cellBase, g.cellTuple, g.cellHasVec = nil, nil, nil, nil, nil
+	}
+	g.co.Trim(maxLines)
+}

@@ -130,8 +130,8 @@ type Line struct {
 // Dist is a discrete distribution over total scores: lines sorted by
 // ascending score with no two lines closer than Eps, stored as parallel
 // arrays. The zero value is an empty (all-mass-zero) distribution, which is
-// the identity for Merge and the annihilator produced by blocked exit points
-// (the paper's "(0, 0)" cells).
+// the identity for Merger.MergeAll and the annihilator produced by blocked
+// exit points (the paper's "(0, 0)" cells).
 type Dist struct {
 	scores []float64
 	probs  []float64
@@ -305,6 +305,10 @@ func (d *Dist) appendLineVec(score, prob float64, vec *Vector, vecProb, vecBound
 
 // Len returns the number of lines.
 func (d *Dist) Len() int { return len(d.scores) }
+
+// Cap returns the line capacity of d's largest array: the storage d keeps
+// when it is reset and recycled.
+func (d *Dist) Cap() int { return max(cap(d.scores), cap(d.vecs)) }
 
 // Lines returns a copy of the distribution as lines, sorted by ascending
 // score.

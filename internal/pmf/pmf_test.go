@@ -198,35 +198,97 @@ func TestCombineEmptyInputs(t *testing.T) {
 	}
 }
 
+// TestMerge: a two-input Merger union combines equal scores, skips empty
+// inputs and leaves its inputs untouched.
 func TestMerge(t *testing.T) {
 	a := FromLines([]Line{{Score: 1, Prob: 0.25}, {Score: 3, Prob: 0.25}})
 	b := FromLines([]Line{{Score: 1, Prob: 0.25}, {Score: 2, Prob: 0.25}})
-	m := Merge(a, b)
+	var mg Merger
+	m := mg.MergeAll([]*Dist{a, b})
 	if m.Len() != 3 {
 		t.Fatalf("len = %d, want 3", m.Len())
 	}
 	mustApprox(t, "mass", m.TotalMass(), 1.0)
 	mustApprox(t, "combined", m.Line(0).Prob, 0.5)
-	if got := Merge(nil, a); got.Len() != a.Len() {
+	if a.Line(0).Prob != 0.25 || b.Line(0).Prob != 0.25 {
+		t.Fatal("merge modified an input")
+	}
+	if got := mg.MergeAll([]*Dist{nil, a}); got.Len() != a.Len() {
 		t.Fatal("merge with nil lost lines")
 	}
-	if got := Merge(a, New()); got.Len() != a.Len() {
+	if got := mg.MergeAll([]*Dist{a, New()}); got.Len() != a.Len() {
 		t.Fatal("merge with empty lost lines")
+	}
+	// A single input is copied: coalescing the result leaves the input alone.
+	got := mg.MergeAll([]*Dist{a})
+	got.Coalesce(1, CoalescePlainAverage)
+	if a.Len() != 2 {
+		t.Fatal("coalescing a single-input merge modified the input")
 	}
 }
 
+// TestMergeAll: a multi-round tournament over one reused Merger, and the
+// empty union.
 func TestMergeAll(t *testing.T) {
-	var ds []*Dist
-	for i := 0; i < 7; i++ {
-		ds = append(ds, Point(float64(i), 0.1))
+	var mg Merger
+	for round := 0; round < 2; round++ {
+		var ds []*Dist
+		for i := 0; i < 7; i++ {
+			ds = append(ds, Point(float64(i), 0.1))
+		}
+		m := mg.MergeAll(ds)
+		if m.Len() != 7 {
+			t.Fatalf("len = %d, want 7", m.Len())
+		}
+		mustApprox(t, "mass", m.TotalMass(), 0.7)
+		for i := 0; i < 7; i++ {
+			if m.Line(i).Score != float64(i) {
+				t.Fatalf("line %d score %v", i, m.Line(i).Score)
+			}
+		}
 	}
-	m := MergeAll(ds)
-	if m.Len() != 7 {
-		t.Fatalf("len = %d, want 7", m.Len())
-	}
-	mustApprox(t, "mass", m.TotalMass(), 0.7)
-	if !MergeAll(nil).IsEmpty() {
+	if !mg.MergeAll(nil).IsEmpty() {
 		t.Fatal("MergeAll(nil) should be empty")
+	}
+}
+
+// TestTrim: the pooled buffers of a Merger, Coalescer and GridCombiner keep
+// their capacity up to the bound and drop it beyond.
+func TestTrim(t *testing.T) {
+	const bound = 64
+	big := func(n int) *Dist {
+		ls := make([]Line, n)
+		for i := range ls {
+			ls[i] = Line{Score: float64(i), Prob: 1 / float64(n), VecProb: 1e-3}
+		}
+		return FromLines(ls)
+	}
+	for _, n := range []int{bound / 2, bound} {
+		var mg Merger
+		var co Coalescer
+		mg.MergeAll([]*Dist{big(n / 2), big(n / 2)})
+		co.Coalesce(big(n), 1, CoalescePlainAverage)
+		mg.Trim(bound)
+		co.Trim(bound)
+		if mg.buf[0].Cap() < n/2 || co.prev == nil {
+			t.Fatalf("n=%d: buffers at or below the bound were dropped", n)
+		}
+		if mg.buf[0].vecs[:1][0] != nil || mg.buf[0].hasVec {
+			t.Fatalf("n=%d: trimmed merge buffer still holds vectors", n)
+		}
+	}
+	var mg Merger
+	var co Coalescer
+	var g GridCombiner
+	mg.MergeAll([]*Dist{big(bound), big(bound)})
+	co.Coalesce(big(bound+1), 1, CoalescePlainAverage)
+	g.Combine(nil, big(bound+1), 0.5, big(bound+1), []TakeBranch{{Shift: 1, Factor: 0.5}}, bound+1, CoalescePlainAverage, true, nil)
+	g.co.Coalesce(big(bound+1), 1, CoalescePlainAverage)
+	mg.Trim(bound)
+	co.Trim(bound)
+	g.Trim(bound)
+	if mg.buf[0].Cap() != 0 || co.prev != nil || co.h != nil || g.prob != nil || g.cellHasVec != nil || g.co.prev != nil {
+		t.Fatal("buffers above the bound were kept")
 	}
 }
 

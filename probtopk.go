@@ -103,7 +103,8 @@ type Options struct {
 	// bit-identical to serial execution. The zero value auto-tunes: queries
 	// whose scan depth × k reaches 96 fan out over min(GOMAXPROCS, units)
 	// workers, smaller ones run serially. 1 or negative forces serial; ≥ 2
-	// sets the count explicitly.
+	// sets the count explicitly. A batch applies it to each group of equal
+	// k, whose unit DPs all its thresholds share.
 	Parallelism int
 }
 
